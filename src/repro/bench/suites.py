@@ -121,24 +121,13 @@ def _make_teq_push_pop(n: int):
     return setup
 
 
-def _make_dispatch_loop(
-    n_tasks: int,
-    n_workers: int,
-    engine_mode: str = "serialized",
-    engine_backend: str = "object",
-):
+def _make_dispatch_loop(n_tasks: int, n_workers: int, engine_backend: str = "object"):
     def setup():
         program = _independent_program(n_tasks)
         models = KernelModelSet(
             models={"DGEMM": LognormalModel(mu_log=-9.0, sigma_log=0.05)},
             family="lognormal",
         )
-        cells = None
-        if engine_mode != "serialized":
-            from ..core.cells import plan_cells
-            from ..machine.topology import get_machine
-
-            cells = plan_cells(get_machine("magny_cours_48"), n_workers)
 
         def fn() -> Optional[int]:
             from ..core.metrics import RunMetrics
@@ -154,8 +143,6 @@ def _make_dispatch_loop(
                 SimulationBackend(models),
                 seed=0,
                 metrics=metrics,
-                engine_mode=engine_mode,
-                cells=cells,
             )
             engine.run()
             return metrics.events_processed
@@ -233,30 +220,14 @@ def _make_calib_fit(n_samples: int):
 
 
 # -- macro benchmarks -------------------------------------------------------
-def _make_simulate(
-    algorithm: str,
-    nt: int,
-    scheduler: str,
-    n_workers: int,
-    engine_mode: str = "serialized",
-):
+def _make_simulate(algorithm: str, nt: int, scheduler: str, n_workers: int):
     def setup():
         program = _GENERATORS[algorithm](nt, 200)
         models = synthetic_models(program)
-        # A partition needs a topology; the serialized default passes none
-        # so the timed region is byte-for-byte the historical benchmark.
-        machine = None if engine_mode == "serialized" else "magny_cours_48"
 
         def fn() -> None:
             sched = make_scheduler(scheduler, n_workers)
-            simulate(
-                program,
-                sched,
-                models,
-                seed=1234,
-                engine_mode=engine_mode,
-                machine=machine,
-            )
+            simulate(program, sched, models, seed=1234)
 
         return fn, len(program)
 
@@ -267,18 +238,14 @@ def default_suite(
     *,
     quick: bool = False,
     workers: int = 48,
-    engine_mode: str = "serialized",
     engine_backend: str = "object",
 ) -> List[BenchSpec]:
     """The standard suite: the micro benchmarks plus the macro grid.
 
-    ``engine_mode`` selects the event-engine mode for the *macro* benchmarks
-    (``repro bench --engine-mode``); the micro suite always carries a
-    serialized, a multicell, and an array-backend dispatch-loop entry so the
-    three loops can be compared inside a single report.  ``engine_backend``
-    (``repro bench --engine-backend``) likewise applies to the plain
-    ``micro/dispatch-loop`` entry only — ``micro/dispatch-loop-array`` pins
-    the array core so it is covered regardless of the flag.
+    ``engine_backend`` (``repro bench --engine-backend``) applies to the
+    plain ``micro/dispatch-loop`` entry only — ``micro/dispatch-loop-array``
+    pins the array core so the two engines can be compared inside a single
+    report regardless of the flag.
     """
     micro_scale = 1 if quick else 4
     macro_repeats = 3 if quick else 5
@@ -315,18 +282,6 @@ def default_suite(
             },
         ),
         BenchSpec(
-            name="micro/dispatch-loop-multicell",
-            group="micro",
-            unit="events/s",
-            make=_make_dispatch_loop(4_000 * micro_scale, 16, engine_mode="multicell"),
-            params={
-                "n_tasks": 4_000 * micro_scale,
-                "n_workers": 16,
-                "engine_mode": "multicell",
-                "machine": "magny_cours_48",
-            },
-        ),
-        BenchSpec(
             name="micro/duration-sampling",
             group="micro",
             unit="draws/s",
@@ -357,16 +312,13 @@ def default_suite(
                     name=f"macro/simulate/{algorithm}-nt{nt}/{scheduler}",
                     group="macro",
                     unit="tasks/s",
-                    make=_make_simulate(
-                        algorithm, nt, scheduler, workers, engine_mode=engine_mode
-                    ),
+                    make=_make_simulate(algorithm, nt, scheduler, workers),
                     repeats=macro_repeats,
                     params={
                         "algorithm": algorithm,
                         "nt": nt,
                         "scheduler": scheduler,
                         "n_workers": workers,
-                        "engine_mode": engine_mode,
                     },
                 )
             )

@@ -78,7 +78,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 from .algorithms import cholesky_program, lu_program, qr_program
 from .calib import DEFAULT_FAMILIES as _CALIB_DEFAULT_FAMILIES
-from .core.cells import ENGINE_MODES, default_engine_mode
 from .core.soa import ENGINE_BACKENDS, default_engine_backend
 from .core.simulator import run_real, validate
 from .dag import build_dag, dag_stats, write_dot
@@ -128,20 +127,6 @@ def _scheduler(args):
     if getattr(args, "window", None):
         kwargs["window"] = args.window
     return make_scheduler(args.scheduler, args.workers, **kwargs)
-
-
-def _add_engine_mode_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine-mode", choices=ENGINE_MODES, default=None,
-                   dest="engine_mode",
-                   help="event-loop realisation: serialized (single queue), "
-                   "multicell (one thread per machine-socket cell), or auto "
-                   "(multicell when the partition is exploitable); default "
-                   "$REPRO_ENGINE_MODE or serialized")
-
-
-def _engine_mode(args) -> str:
-    mode = getattr(args, "engine_mode", None)
-    return default_engine_mode() if mode is None else mode
 
 
 def _add_engine_backend_arg(p: argparse.ArgumentParser) -> None:
@@ -225,7 +210,7 @@ def _cmd_run(args) -> int:
         metrics = RunMetrics()
     trace = run_real(
         _program(args), _scheduler(args), machine, seed=args.seed, metrics=metrics,
-        engine_mode=_engine_mode(args), engine_backend=_engine_backend(args),
+        engine_backend=_engine_backend(args),
     )
     trace.validate()
     if args.metrics_out:
@@ -315,7 +300,6 @@ def _cmd_sweep(args) -> int:
                             machine=args.machine,
                             seed=seed * 1000 + nt,
                             mode="real",
-                            engine_mode=_engine_mode(args),
                             engine_backend=_engine_backend(args),
                         )
                     )
@@ -332,7 +316,6 @@ def _cmd_sweep(args) -> int:
                             cal_seed=seed,
                             family=args.family,
                             calibration=args.calibration,
-                            engine_mode=_engine_mode(args),
                             engine_backend=_engine_backend(args),
                         )
                     )
@@ -802,8 +785,7 @@ def _cmd_bench(args) -> int:
         print("--repeats must be at least 1", file=sys.stderr)
         return 2
     specs = default_suite(
-        quick=args.quick, workers=args.workers, engine_mode=_engine_mode(args),
-        engine_backend=_engine_backend(args),
+        quick=args.quick, workers=args.workers, engine_backend=_engine_backend(args),
     )
     if args.repeats is not None:
         for spec in specs:
@@ -908,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="one real run on the machine model")
     _add_problem_args(p)
-    _add_engine_mode_arg(p)
     _add_engine_backend_arg(p)
     p.add_argument("--svg", default=None)
     p.add_argument("--gantt", action="store_true")
@@ -964,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-dir", default=None, dest="probe_dir",
                    help="attach a recording probe to every run and write "
                    "timeline artifacts (Perfetto/series/attribution) here")
-    _add_engine_mode_arg(p)
     _add_engine_backend_arg(p)
     p.add_argument("--verbose", action="store_true",
                    help="print per-run progress to stderr")
@@ -1091,7 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(1 - this) x baseline")
     p.add_argument("--verbose", action="store_true",
                    help="print per-benchmark progress to stderr")
-    _add_engine_mode_arg(p)
     _add_engine_backend_arg(p)
     p.set_defaults(fn=_cmd_bench)
 

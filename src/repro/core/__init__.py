@@ -1,6 +1,5 @@
 """Simulator core: task model, clock, TEQ, backends, and the high-level API."""
 
-from .cells import ENGINE_MODES, CellPlan, default_engine_mode, plan_cells, plan_for_run
 from .clock import SimClock
 from .soa import ENGINE_BACKENDS, CalendarQueue, SoAProgram, default_engine_backend
 from .faults import FaultPlan, FaultState
@@ -17,15 +16,10 @@ from .watchdog import (
 )
 
 __all__ = [
-    "ENGINE_MODES",
     "ENGINE_BACKENDS",
     "CalendarQueue",
     "SoAProgram",
     "default_engine_backend",
-    "CellPlan",
-    "default_engine_mode",
-    "plan_cells",
-    "plan_for_run",
     "SimClock",
     "FaultPlan",
     "FaultState",

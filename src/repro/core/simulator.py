@@ -18,11 +18,10 @@ from typing import Optional, Union
 
 from ..kernels.timing import KernelModelSet
 from ..machine.backend import MachineBackend
-from ..machine.topology import Machine, get_machine
+from ..machine.topology import Machine
 from ..schedulers.base import SchedulerBase
 from ..trace.compare import TraceComparison, compare_traces
 from ..trace.events import Trace
-from .cells import plan_for_run
 from .metrics import RunMetrics
 from .simbackend import SimulationBackend
 from .task import Program
@@ -38,25 +37,20 @@ def run_real(
     seed: int = 0,
     metrics: Optional[RunMetrics] = None,
     probe=None,
-    engine_mode: str = "serialized",
     engine_backend: Optional[str] = None,
 ) -> Trace:
     """A ground-truth run: scheduler + machine-model durations.
 
     ``metrics`` and ``probe`` are the observability hooks: run counters and
     the scheduler-internal event stream (:mod:`repro.obs`).  Neither changes
-    the trace, and neither does ``engine_mode`` — the partitioned engine
-    (:mod:`repro.core.cells`) cuts the machine along its socket boundaries
-    but processes events in the same global order, and neither does
-    ``engine_backend`` — ``"array"`` runs the identical simulation on the
-    SoA core (``None`` defers to ``$REPRO_ENGINE_BACKEND``).
+    the trace, and neither does ``engine_backend`` — ``"array"`` runs the
+    identical simulation on the SoA core (``None`` defers to
+    ``$REPRO_ENGINE_BACKEND``).
     """
     backend = machine if isinstance(machine, MachineBackend) else MachineBackend(machine)
-    cells = plan_for_run(engine_mode, backend.machine, scheduler.n_workers)
     return scheduler.run(
         program, backend, seed=seed, trace_meta={"mode": "real"},
-        metrics=metrics, probe=probe, engine_mode=engine_mode, cells=cells,
-        engine_backend=engine_backend,
+        metrics=metrics, probe=probe, engine_backend=engine_backend,
     )
 
 
@@ -69,8 +63,6 @@ def simulate(
     warmup_penalty: float = 0.0,
     metrics: Optional[RunMetrics] = None,
     probe=None,
-    engine_mode: str = "serialized",
-    machine: Optional[Union[Machine, str]] = None,
     engine_backend: Optional[str] = None,
 ) -> Trace:
     """A simulated run: scheduler + timing-model durations (paper §V).
@@ -79,21 +71,14 @@ def simulate(
     initialisation cost in the simulated trace (the paper notes its absence
     as one of the two visible differences between Figs. 6 and 7).
     ``metrics`` / ``probe`` observe the run without perturbing it.
-    ``machine`` supplies the topology the partitioned engine cuts into
-    cells when ``engine_mode`` is not ``serialized``; without one, ``auto``
-    falls back to the serialized loop (a simulated run does not otherwise
-    need a machine model).  ``engine_backend`` selects the engine
-    implementation (``"object"``/``"array"``; ``None`` defers to
-    ``$REPRO_ENGINE_BACKEND``).  Every mode and backend produces the same
-    trace.
+    ``engine_backend`` selects the engine implementation
+    (``"object"``/``"array"``; ``None`` defers to
+    ``$REPRO_ENGINE_BACKEND``).  Both backends produce the same trace.
     """
     backend = SimulationBackend(models, warmup_penalty=warmup_penalty)
-    topo = get_machine(machine) if isinstance(machine, str) else machine
-    cells = plan_for_run(engine_mode, topo, scheduler.n_workers)
     return scheduler.run(
         program, backend, seed=seed, trace_meta={"mode": "simulated"},
-        metrics=metrics, probe=probe, engine_mode=engine_mode, cells=cells,
-        engine_backend=engine_backend,
+        metrics=metrics, probe=probe, engine_backend=engine_backend,
     )
 
 

@@ -20,10 +20,9 @@ the event loop touches integers and floats, never objects:
   is preserved bit-for-bit.
 
 Backend selection plumbing also lives here: :data:`ENGINE_BACKENDS` and
-:func:`default_engine_backend` mirror :data:`~repro.core.cells.ENGINE_MODES`
-and :func:`~repro.core.cells.default_engine_mode`, with the
-``REPRO_ENGINE_BACKEND`` environment variable providing the process-wide
-default the CI array lane uses to run the whole suite on the array core.
+:func:`default_engine_backend`, with the ``REPRO_ENGINE_BACKEND``
+environment variable providing the process-wide default the CI array lane
+uses to run the whole suite on the array core.
 """
 
 from __future__ import annotations

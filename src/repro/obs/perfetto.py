@@ -13,11 +13,7 @@ and counter tracks:
   as instant events;
 * **counter tracks**: ready-queue depth, window occupancy, active workers,
   and — for threaded runs — TEQ depth, emitted as ``"C"`` events from the
-  derived time series;
-* **per-cell lanes** (process "cells", multicell runs only): one thread per
-  engine cell, carrying an instant event at each clock advance — regular
-  advances (the cell handled an event) and null-message horizon updates
-  (depth 0, the cell was idle) are distinguished in ``args``.
+  derived time series.
 
 Timestamps are virtual microseconds (the spec's ``ts`` unit); the virtual
 origin is preserved, not rebased.  :func:`load_trace_event` is the
@@ -32,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..trace.events import Trace
-from .probe import CELL_ADVANCE, STALL_EPISODE, SWEEP, RecordingProbe
+from .probe import STALL_EPISODE, SWEEP, RecordingProbe
 from .attribution import stall_episodes
 from .series import TimeSeriesSet, build_series
 
@@ -45,14 +41,13 @@ __all__ = [
     "loads_trace_event",
 ]
 
-#: pid of the worker-lanes process, the scheduler-internals process, the
-#: partitioned-engine cells process (present only for multicell streams),
-#: and the service-request process (traced fleet requests).  The pid spaces
-#: are disjoint so service spans and a simulation timeline can merge into
-#: one document without lane collisions.
+#: pid of the worker-lanes process, the scheduler-internals process, and
+#: the service-request process (traced fleet requests).  The pid spaces are
+#: disjoint so service spans and a simulation timeline can merge into one
+#: document without lane collisions.  pid 3 is retired, not reused, so
+#: documents written by earlier versions keep their lane identities.
 _PID_WORKERS = 1
 _PID_SCHED = 2
-_PID_CELLS = 3
 _PID_SERVICE = 4
 
 #: tids inside the scheduler process.
@@ -158,25 +153,6 @@ def trace_event_document(
                         "pid": _PID_SCHED,
                         "tid": _TID_WATCHDOG,
                         "args": {"recover_attempts": int(e.value)},
-                    }
-                )
-
-        cell_advances = [e for e in probe.sorted_events() if e.kind == CELL_ADVANCE]
-        if cell_advances:
-            events.append(_meta(_PID_CELLS, None, "process_name", "cells"))
-            for cell_id in sorted({e.worker for e in cell_advances}):
-                events.append(_meta(_PID_CELLS, cell_id, "thread_name", f"cell {cell_id}"))
-            for e in cell_advances:
-                events.append(
-                    {
-                        "name": "advance" if e.value > 0 else "null update",
-                        "cat": "cell",
-                        "ph": "i",
-                        "s": "t",
-                        "ts": e.t * _US,
-                        "pid": _PID_CELLS,
-                        "tid": e.worker,
-                        "args": {"queue_depth": int(e.value)},
                     }
                 )
 

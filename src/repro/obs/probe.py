@@ -61,7 +61,6 @@ TEQ_INSERT = "teq_insert"
 TEQ_POP = "teq_pop"
 TEQ_BOUNCE = "teq_bounce"
 STALL_EPISODE = "stall_episode"
-CELL_ADVANCE = "cell_advance"
 
 EVENT_KINDS = (
     INSERTED,
@@ -75,7 +74,6 @@ EVENT_KINDS = (
     TEQ_POP,
     TEQ_BOUNCE,
     STALL_EPISODE,
-    CELL_ADVANCE,
 )
 
 
@@ -138,9 +136,6 @@ class Probe(Protocol):
 
     def stall_episode(self, t: float, attempts: int) -> None: ...
 
-    # -- partitioned engine ---------------------------------------------
-    def cell_advance(self, t: float, cell_id: int, depth: int) -> None: ...
-
 
 def active_probe(probe: Optional[Probe]) -> Optional[Probe]:
     """Normalise a caller-supplied probe to the runtimes' internal form.
@@ -192,9 +187,6 @@ class NullProbe:
         pass
 
     def stall_episode(self, t: float, attempts: int) -> None:
-        pass
-
-    def cell_advance(self, t: float, cell_id: int, depth: int) -> None:
         pass
 
 
@@ -265,12 +257,6 @@ class RecordingProbe(NullProbe):
     def stall_episode(self, t: float, attempts: int) -> None:
         with self._lock:
             self.events.append(ProbeEvent(t, STALL_EPISODE, value=float(attempts)))
-
-    def cell_advance(self, t: float, cell_id: int, depth: int) -> None:
-        # ``worker`` carries the cell id; ``value`` the cell's queue depth
-        # after the advance (0.0 for a null-message horizon update).
-        with self._lock:
-            self.events.append(ProbeEvent(t, CELL_ADVANCE, worker=cell_id, value=float(depth)))
 
     # -- queries ---------------------------------------------------------
     def __len__(self) -> int:

@@ -17,11 +17,6 @@ into step-function counters over virtual time:
     (the event-driven engine has no TEQ).  Uses the depth each TEQ hook
     recorded rather than re-deriving it, so real-thread append reordering
     cannot corrupt the counter.
-``cell<k>_depth``
-    Per-cell event-queue depth at each clock advance of cell ``k``; present
-    only for partitioned-engine (multicell) streams.  A sample with value 0
-    at time *t* can also mark a null-message horizon update — the cell had
-    nothing pending and conservatively advanced its clock to *t*.
 
 Each series is a pair of parallel lists ``(times, values)``: the counter
 holds ``values[i]`` from ``times[i]`` until ``times[i+1]``.  Consecutive
@@ -42,7 +37,6 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from .probe import (
-    CELL_ADVANCE,
     DISPATCHED,
     FINISHED,
     INSERTED,
@@ -163,7 +157,6 @@ def build_series(probe: RecordingProbe) -> TimeSeriesSet:
     n_window = 0
     n_active = 0
     saw_teq = False
-    cells: Dict[int, TimeSeries] = {}
     for e in probe.sorted_events():
         kind = e.kind
         if kind == READY:
@@ -185,16 +178,8 @@ def build_series(probe: RecordingProbe) -> TimeSeriesSet:
         elif kind in (TEQ_INSERT, TEQ_POP):
             saw_teq = True
             teq.append(e.t, e.value)
-        elif kind == CELL_ADVANCE:
-            cell = cells.get(e.worker)
-            if cell is None:
-                cell = cells[e.worker] = TimeSeries(f"cell{e.worker}_depth")
-            cell.append(e.t, e.value)
 
     out = {"ready_depth": ready, "window_occupancy": window, "active_workers": active}
     if saw_teq:
         out["teq_depth"] = teq
-    for cell_id in sorted(cells):
-        series = cells[cell_id]
-        out[series.name] = series
     return TimeSeriesSet(out)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.cells import plan_for_run
 from ..core.metrics import RunMetrics
 from ..core.simbackend import SimulationBackend
 from ..kernels.timing import KernelModelSet
@@ -100,13 +99,9 @@ def execute_spec(
             program, models=models, seed=spec.seed, metrics=metrics, probe=probe
         )
     else:
-        scheduler = spec.scheduler.build()
-        cells = plan_for_run(spec.engine_mode, machine, scheduler.n_workers)
-        trace = scheduler.run(
+        trace = spec.scheduler.build().run(
             program, backend, seed=spec.seed, trace_meta=trace_meta,
-            metrics=metrics, probe=probe,
-            engine_mode=spec.engine_mode, cells=cells,
-            engine_backend=spec.engine_backend,
+            metrics=metrics, probe=probe, engine_backend=spec.engine_backend,
         )
     metrics.extra.update(
         {
@@ -118,7 +113,6 @@ def execute_spec(
             "seed": spec.seed,
             "mode": spec.mode,
             "runtime": spec.runtime,
-            "engine_mode": spec.engine_mode,
         }
     )
     return trace, metrics

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..algorithms import cholesky_program, lu_program, qr_program
-from ..core.cells import ENGINE_MODES
 from ..core.soa import ENGINE_BACKENDS
 from ..core.task import Program
 from ..core.watchdog import STALL_POLICIES, StallPolicy
@@ -182,12 +181,7 @@ class RunSpec:
     #: out of the cache key so pre-existing caches survive.
     calibration: Optional[str] = None
 
-    # -- event-loop realisation (engine runtime only) ----------------------
-    #: serialized | multicell | auto — see :mod:`repro.core.cells`.  Every
-    #: mode produces the same trace, so ``serialized`` (the default) is
-    #: normalised out of the cache key.
-    engine_mode: str = "serialized"
-
+    # -- engine implementation (engine runtime only) -----------------------
     #: object | array — the engine implementation (:mod:`repro.core.soa`).
     #: Both produce byte-identical traces, so ``object`` (the default) is
     #: normalised out of the cache key and pre-existing caches survive;
@@ -207,19 +201,10 @@ class RunSpec:
             )
         if self.runtime not in RUNTIMES:
             raise ValueError(f"unknown runtime {self.runtime!r}; choose from {RUNTIMES}")
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine_mode {self.engine_mode!r}; choose from {ENGINE_MODES}"
-            )
         if self.engine_backend not in ENGINE_BACKENDS:
             raise ValueError(
                 f"unknown engine_backend {self.engine_backend!r}; "
                 f"choose from {ENGINE_BACKENDS}"
-            )
-        if self.runtime == "threaded" and self.engine_mode != "serialized":
-            raise ValueError(
-                "the threaded runtime has no partitioned event loop; "
-                "engine_mode must stay 'serialized' with runtime='threaded'"
             )
         if self.runtime == "threaded" and self.engine_backend != "object":
             raise ValueError(
@@ -279,7 +264,21 @@ class RunSpec:
         ``cal_scheduler`` objects are reconstructed recursively, every
         field is validated by the dataclass ``__post_init__`` checks, and
         unknown keys raise ``ValueError`` instead of being dropped.
+
+        The one exception is the retired ``engine_mode`` key: documents
+        written while the engine had partitioned modes carry
+        ``"engine_mode": "serialized"``, which is exactly today's single
+        event loop, so it is accepted and dropped; any other value names a
+        removed mode and raises.
         """
+        if isinstance(data, dict) and "engine_mode" in data:
+            data = dict(data)
+            mode = data.pop("engine_mode")
+            if mode != "serialized":
+                raise ValueError(
+                    f"engine_mode {mode!r} is no longer supported: the partitioned "
+                    "engine modes were removed; drop the key or send 'serialized'"
+                )
         fields = _known_fields(cls, data, "RunSpec")
         fields["program"] = ProgramSpec.from_dict(fields.get("program") or {})
         fields["scheduler"] = SchedulerSpec.from_dict(fields.get("scheduler") or {})
@@ -328,13 +327,8 @@ class RunSpec:
         doc.pop("on_stall", None)
         if self.runtime != "threaded":
             doc.pop("guard", None)
-        # The default serialized loop is normalised out so pre-existing keys
-        # survive; non-default modes stay in — traces agree by construction,
-        # but the recorded metrics (per-cell counters, wall time) differ.
-        if self.engine_mode == "serialized":
-            doc.pop("engine_mode", None)
-        # Same normalisation for the engine implementation: the default
-        # object backend drops out so existing caches stay valid.
+        # The default object backend drops out so existing caches stay
+        # valid.
         if self.engine_backend == "object":
             doc.pop("engine_backend", None)
         canon = json.dumps(doc, sort_keys=True, default=str)

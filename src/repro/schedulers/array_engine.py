@@ -25,19 +25,16 @@ flat data of :class:`repro.core.soa.SoAProgram` instead of per-task
   observed.  Any other backend is driven through a per-call adapter with
   the exact argument sequence the object engine would use.
 
-Two optional compiled accelerators slot in behind pure-Python fallbacks:
-the innermost successor-release loop is delegated to
-``repro.schedulers._array_kernels`` — replaced by its compiled Cython twin
-(``_array_kernels_c``) when one has been built — and, for the no-probe
-sweep-transform configuration, the *entire* event loop runs inside the
-hand-written C core of ``repro.schedulers._array_core`` (built with a plain
-C compiler by ``tools/build_array_core.py``, loaded via ctypes).  Both are
-transliterations of the Python code with the same float operation order,
-so which layer executes never changes a single output bit.
+One optional compiled accelerator slots in behind the pure-Python loop:
+for the no-probe sweep-transform configuration, the *entire* event loop
+runs inside the hand-written C core of ``repro.schedulers._array_core``
+(built with a plain C compiler by ``tools/build_array_core.py``, loaded via
+ctypes).  It is a transliteration of the Python code with the same float
+operation order, so which layer executes never changes a single output bit.
 
 Not every configuration has an array path: work-stealing and ``dmda``
-StarPU policies, scheduler subclasses, non-``serialized`` engine modes and
-programs the scheduler cannot even express fall back to the object engine
+StarPU policies, scheduler subclasses and programs the scheduler cannot
+even express fall back to the object engine
 (see :func:`array_backend_unsupported`); :meth:`SchedulerBase.run` performs
 that fallback and records the reason.
 """
@@ -64,41 +61,53 @@ from .ompss import OmpSsScheduler
 from .quark import QuarkScheduler
 from .starpu import StarPUScheduler
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _array_kernels_c as _kernels  # type: ignore[attr-defined]
-except ImportError:
-    from . import _array_kernels as _kernels
-
 __all__ = [
     "ArrayEngine",
     "array_backend_unsupported",
-    "USING_COMPILED_KERNELS",
     "USING_COMPILED_CORE",
 ]
-
-#: True when the Cython extension is driving the successor-release loop.
-USING_COMPILED_KERNELS: bool = bool(getattr(_kernels, "USING_COMPILED", False))
 
 #: True when the ctypes-loaded C core can run whole simulations.
 USING_COMPILED_CORE: bool = _c_run is not None
 
-_release_successors = _kernels.release_successors
+
+def release_successors(
+    succ_ids: List[int],
+    deps_left: List[int],
+    state: List[int],
+    lo: int,
+    hi: int,
+) -> List[int]:
+    """Decrement dependency counts for one finished task's successors.
+
+    ``succ_ids[lo:hi]`` is the finished task's CSR successor slice in
+    ascending task id.  Every successor's count drops by one — including
+    not-yet-inserted ones, whose insertion-time outstanding count is read
+    from ``deps_left`` — and successors that reach zero while WAITING
+    (state 1) flip to READY (state 2) and are returned in slice order,
+    which is the order the object engine pushes them ready.
+    """
+    out: List[int] = []
+    for i in range(lo, hi):
+        s = succ_ids[i]
+        d = deps_left[s] - 1
+        deps_left[s] = d
+        if d == 0 and state[s] == 1:
+            state[s] = 2
+            out.append(s)
+    return out
 
 
-def array_backend_unsupported(
-    scheduler: SchedulerBase, engine_mode: str = "serialized"
-) -> Optional[str]:
+def array_backend_unsupported(scheduler: SchedulerBase) -> Optional[str]:
     """Why ``scheduler`` cannot run on the array engine, or ``None``.
 
     The array engine natively implements the exact ready-queue semantics of
     the three stock schedulers' deterministic policies.  Anything it cannot
-    replicate byte-for-byte — scheduler subclasses with overridden hooks,
-    StarPU's ``ws``/``dmda`` policies (per-worker deques and ETA models),
-    and the partitioned engine modes — reports a reason here so callers can
-    fall back to the object engine instead of producing a divergent trace.
+    replicate byte-for-byte — scheduler subclasses with overridden hooks
+    and StarPU's ``ws``/``dmda`` policies (per-worker deques and ETA
+    models) — reports a reason here so callers can fall back to the object
+    engine instead of producing a divergent trace.
     """
-    if engine_mode != "serialized":
-        return f"array backend implements the serialized event loop only (engine_mode={engine_mode!r})"
     kind = type(scheduler)
     if kind is QuarkScheduler or kind is OmpSsScheduler:
         return None
@@ -152,10 +161,8 @@ class ArrayEngine:
         trace_meta: Optional[Dict[str, Any]] = None,
         metrics: Optional[RunMetrics] = None,
         probe=None,
-        engine_mode: str = "serialized",
-        cells=None,
     ) -> None:
-        reason = array_backend_unsupported(scheduler, engine_mode)
+        reason = array_backend_unsupported(scheduler)
         if reason is not None:
             raise ValueError(f"array engine cannot run this configuration: {reason}")
         self.sched = scheduler
@@ -348,7 +355,7 @@ class ArrayEngine:
         end_t = [0.0] * n_nodes
         math_exp = math.exp
         isfinite = math.isfinite
-        release = _release_successors
+        release = release_successors
 
         cal = CalendarQueue()
         cal_push = cal.push

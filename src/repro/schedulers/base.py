@@ -180,8 +180,6 @@ class SchedulerBase:
         trace_meta: Optional[Dict[str, object]] = None,
         metrics: Optional["RunMetrics"] = None,
         probe: Optional[object] = None,
-        engine_mode: str = "serialized",
-        cells: Optional[object] = None,
         engine_backend: Optional[str] = None,
     ) -> "Trace":
         """Execute ``program`` against ``backend`` and return the trace.
@@ -192,11 +190,7 @@ class SchedulerBase:
         collects the run's :class:`~repro.core.metrics.RunMetrics` counters.
         ``probe``, when given and enabled, receives the scheduler-internal
         event stream (see :mod:`repro.obs.probe`); probes observe only and
-        never change the trace.  ``engine_mode`` selects the event-loop
-        realisation (``serialized``/``multicell``/``auto``, see
-        :mod:`repro.core.cells`); ``cells`` is the
-        :class:`~repro.core.cells.CellPlan` partitioning the workers, needed
-        for the multicell modes.  ``engine_backend`` selects the engine
+        never change the trace.  ``engine_backend`` selects the engine
         *implementation* — ``"object"`` (per-task-node event loop) or
         ``"array"`` (the SoA core of
         :mod:`repro.schedulers.array_engine`); ``None`` defers to
@@ -204,8 +198,8 @@ class SchedulerBase:
         ``REPRO_ENGINE_BACKEND`` environment variable).  A configuration
         the array core cannot replicate byte-for-byte falls back to the
         object engine, recording the reason under
-        ``metrics.extra["engine_backend"]``.  Every mode and backend
-        produces the same trace.
+        ``metrics.extra["engine_backend"]``.  Both backends produce the
+        same trace.
         """
         from ..core.soa import ENGINE_BACKENDS, default_engine_backend
 
@@ -219,7 +213,7 @@ class SchedulerBase:
         if engine_backend == "array":
             from .array_engine import ArrayEngine, array_backend_unsupported
 
-            reason = array_backend_unsupported(self, engine_mode)
+            reason = array_backend_unsupported(self)
             if reason is None:
                 engine = ArrayEngine(
                     self,
@@ -229,8 +223,6 @@ class SchedulerBase:
                     trace_meta=trace_meta,
                     metrics=metrics,
                     probe=probe,
-                    engine_mode=engine_mode,
-                    cells=cells,
                 )
                 if metrics is not None:
                     metrics.extra["engine_backend"] = {"requested": "array", "used": "array"}
@@ -252,8 +244,6 @@ class SchedulerBase:
             trace_meta=trace_meta,
             metrics=metrics,
             probe=probe,
-            engine_mode=engine_mode,
-            cells=cells,
         )
         return engine.run()
 

@@ -10,14 +10,6 @@ number").
 Event order is deterministic: the heap is keyed by ``(time, sequence)`` and
 idle workers are offered work in increasing id order, so a run is a pure
 function of ``(program, scheduler, backend, seed)``.
-
-The engine can also run **partitioned** (see :mod:`repro.core.cells`): the
-machine model splits into per-socket cells, each with its own event queue
-and clock, advanced by one thread per cell under conservative
-synchronization.  Because scheduler state is shared between cells, the
-protocol processes events in global ``(time, sequence)`` order — multicell
-runs produce traces byte-identical to serialized runs, and the lookahead
-bounds only the null-message horizon updates applied to idle cells' clocks.
 """
 
 from __future__ import annotations
@@ -26,18 +18,11 @@ import bisect
 import heapq
 import itertools
 import math
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.cells import (
-    CellPlan,
-    backend_duration_floor,
-    compute_lookahead,
-    resolve_engine_mode,
-)
 from ..core.metrics import RunMetrics
 from ..core.task import Program
 from ..obs.probe import Probe, active_probe
@@ -64,8 +49,6 @@ class Engine:
         trace_meta: Optional[Dict[str, object]] = None,
         metrics: Optional[RunMetrics] = None,
         probe: Optional[Probe] = None,
-        engine_mode: str = "serialized",
-        cells: Optional[CellPlan] = None,
     ) -> None:
         self.sched = scheduler
         self.program = program
@@ -73,20 +56,6 @@ class Engine:
         self.seed = seed
         self.n_workers = scheduler.n_workers
         self.metrics = metrics if metrics is not None else RunMetrics()
-        if cells is not None and cells.n_workers != self.n_workers:
-            raise ValueError(
-                f"cell plan covers {cells.n_workers} workers but the "
-                f"scheduler has {self.n_workers}"
-            )
-        self.engine_mode = engine_mode
-        self.engine_mode_effective, self._plan, self._mode_fallback = resolve_engine_mode(
-            engine_mode, cells
-        )
-        self.lookahead = compute_lookahead(
-            scheduler.insert_cost,
-            scheduler.dispatch_overhead,
-            backend_duration_floor(backend),
-        )
         # Observation hooks: ``None`` unless an *enabled* probe was supplied,
         # so every hook site below costs one attribute check by default.
         self.probe = active_probe(probe)
@@ -110,19 +79,6 @@ class Engine:
         self.now = 0.0
         self._heap: List[Tuple[float, int, int, int]] = []  # (t, seq, kind, node_idx)
         self._seq = itertools.count()
-        self._heap_size = 0
-        # Partitioned state (multicell only): per-cell event queues + clocks.
-        if self.engine_mode_effective == "multicell":
-            plan = self._plan
-            assert plan is not None
-            self._cell_heaps: Optional[List[List[Tuple[float, int, int, int]]]] = [
-                [] for _ in range(plan.n_cells)
-            ]
-            self._worker_cell = plan.cell_of_worker
-            self._master_cell = plan.cell_of_worker[0]
-            self._cell_now = [0.0] * plan.n_cells
-        else:
-            self._cell_heaps = None
         self._running: Dict[int, TaskNode] = {}  # worker -> node
         self._idle: List[int] = list(range(self.n_workers))  # sorted invariant
         self._next_insert = 0
@@ -140,23 +96,12 @@ class Engine:
 
     # -- helpers -------------------------------------------------------------
     def _push(self, t: float, kind: int, node_idx: int = -1) -> None:
-        entry = (t, next(self._seq), kind, node_idx)
-        cell_heaps = self._cell_heaps
-        if cell_heaps is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            # Route to the owning cell: insertions run on the master's cell,
-            # completions fire on the cell hosting the task's worker.
-            if kind == _INSERT:
-                cell = self._master_cell
-            else:
-                cell = self._worker_cell[self.nodes[node_idx].worker]
-            heapq.heappush(cell_heaps[cell], entry)
+        heap = self._heap
+        heapq.heappush(heap, (t, next(self._seq), kind, node_idx))
         m = self.metrics
         m.heap_pushes += 1
-        self._heap_size += 1
-        if self._heap_size > m.peak_heap_depth:
-            m.peak_heap_depth = self._heap_size
+        if len(heap) > m.peak_heap_depth:
+            m.peak_heap_depth = len(heap)
 
     def _mark_ready(self) -> None:
         self._n_ready += 1
@@ -409,9 +354,9 @@ class Engine:
         )
         self._push(node.end_time, _FINISH, node.task_id)
 
-    # -- event loops -------------------------------------------------------------
+    # -- event loop --------------------------------------------------------------
     def _run_serialized(self) -> None:
-        """Classic single-queue loop — the byte-identity reference path."""
+        """The single-queue loop — the byte-identity reference path."""
         m = self.metrics
         heap = self._heap
         heappop = heapq.heappop
@@ -419,7 +364,6 @@ class Engine:
         handle_finish = self._handle_finish
         while heap:
             t, _, kind, node_idx = heappop(heap)
-            self._heap_size -= 1
             m.heap_pops += 1
             m.events_processed += 1
             if t < self.now - 1e-12:
@@ -432,95 +376,6 @@ class Engine:
             else:
                 m.finish_events += 1
                 handle_finish(node_idx)
-
-    def _run_multicell(self) -> None:
-        """Partitioned loop: one thread per cell over per-cell event queues.
-
-        Conservative synchronization with shared scheduler state: a cell may
-        pop and handle its head event only when that event is the global
-        minimum over all cells' queues (the zero-lookahead degenerate case of
-        Chandy–Misra–Bryant — any event may touch the shared ready queue /
-        idle-worker pool, so no earlier event anywhere may still be pending).
-        Handlers therefore execute in exactly the order the serialized loop
-        would use, which is what makes multicell traces byte-identical.
-        After each event the handling cell issues null-message-style horizon
-        updates: every cell with an empty queue advances its local clock to
-        the global clock (always within its lookahead horizon).
-        """
-        plan = self._plan
-        assert plan is not None and self._cell_heaps is not None
-        heaps = self._cell_heaps
-        n_cells = plan.n_cells
-        m = self.metrics
-        cond = threading.Condition()
-        errors: List[BaseException] = []
-        state = {"done": False}
-        self._cell_events = [0] * n_cells
-        self._cell_null_updates = [0] * n_cells
-
-        def _head_cell() -> int:
-            best, best_key = -1, None
-            for c, h in enumerate(heaps):
-                if h and (best_key is None or h[0] < best_key):
-                    best, best_key = c, h[0]
-            return best
-
-        def _cell_loop(cell_id: int) -> None:
-            heap = heaps[cell_id]
-            with cond:
-                while True:
-                    if state["done"] or errors:
-                        return
-                    if not heap or _head_cell() != cell_id:
-                        # Not this cell's turn: the timeout is a liveness
-                        # backstop only — every state change notifies.
-                        cond.wait(0.1)
-                        continue
-                    t, _, kind, node_idx = heapq.heappop(heap)
-                    self._heap_size -= 1
-                    m.heap_pops += 1
-                    m.events_processed += 1
-                    self._cell_events[cell_id] += 1
-                    try:
-                        if t < self.now - 1e-12:
-                            raise RuntimeError("event time went backwards — engine bug")
-                        if t > self.now:
-                            self.now = t
-                        if self._cell_now[cell_id] < self.now:
-                            self._cell_now[cell_id] = self.now
-                            if self.probe is not None:
-                                self.probe.cell_advance(self.now, cell_id, len(heap))
-                        if kind == _INSERT:
-                            m.insert_events += 1
-                            self._handle_insert()
-                        else:
-                            m.finish_events += 1
-                            self._handle_finish(node_idx)
-                        now = self.now
-                        for c in range(n_cells):
-                            if c != cell_id and not heaps[c] and self._cell_now[c] < now:
-                                self._cell_now[c] = now
-                                self._cell_null_updates[c] += 1
-                                if self.probe is not None:
-                                    self.probe.cell_advance(now, c, 0)
-                    except BaseException as exc:  # propagate to run()
-                        errors.append(exc)
-                        cond.notify_all()
-                        return
-                    if not any(heaps):
-                        state["done"] = True
-                    cond.notify_all()
-
-        threads = [
-            threading.Thread(target=_cell_loop, args=(c,), name=f"cell-{c}", daemon=True)
-            for c in range(n_cells)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
 
     # -- main loop ---------------------------------------------------------------
     def run(self) -> Trace:
@@ -537,26 +392,9 @@ class Engine:
             return self.trace
 
         self._maybe_start_insertion()
-        if self._cell_heaps is None:
-            self._run_serialized()
-        else:
-            self._run_multicell()
+        self._run_serialized()
 
         m.makespan = self.trace.makespan
-        if self.engine_mode != "serialized":
-            engine_extra: Dict[str, object] = {
-                "mode": self.engine_mode,
-                "effective": self.engine_mode_effective,
-                "lookahead_s": self.lookahead,
-            }
-            if self._mode_fallback is not None:
-                engine_extra["fallback_reason"] = self._mode_fallback
-            if self._plan is not None:
-                engine_extra["cells"] = self._plan.to_dict()
-                engine_extra["cell_events"] = list(self._cell_events)
-                engine_extra["cell_null_updates"] = list(self._cell_null_updates)
-                engine_extra["cell_clocks"] = list(self._cell_now)
-            m.extra["engine"] = engine_extra
         m.wall_time_s = time.perf_counter() - wall_start
         if self._done != len(self.nodes):
             stuck = [n for n in self.nodes if n.state is not TaskState.DONE]

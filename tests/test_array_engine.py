@@ -236,9 +236,6 @@ class TestBackendSelection:
         assert "dmda" in array_backend_unsupported(
             make_scheduler("starpu", 4, policy="dmda")
         )
-        assert "serialized" in array_backend_unsupported(
-            make_scheduler("quark", 4), engine_mode="multicell"
-        )
 
     def test_fallback_records_reason_and_preserves_trace(self):
         program = cholesky_program(6, 200)

@@ -9,7 +9,9 @@ were captured from the pre-optimization simulator.
 """
 
 import hashlib
+import itertools
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -305,22 +307,26 @@ class TestBenchCli:
         assert doc["results"][0]["name"] == "micro/hazard-tracking"
         assert "env" in doc
 
-    def test_bench_gate_fails_on_artificial_slowdown(self, tmp_path, capsys):
+    def test_bench_gate_fails_on_artificial_slowdown(self, tmp_path, capsys, monkeypatch):
+        from repro.bench import harness
         from repro.cli import main
 
-        out = tmp_path / "fresh.json"
+        def fake_clock(step):
+            # Every reading advances by ``step``, so each timed repeat
+            # measures exactly ``step`` seconds whatever the work cost.
+            ticks = itertools.count()
+            return types.SimpleNamespace(perf_counter=lambda: next(ticks) * step)
+
+        baseline = tmp_path / "baseline.json"
+        monkeypatch.setattr(harness, "time", fake_clock(1.0))
         assert main(
             ["bench", "--quick", "--only", "micro/hazard*", "--repeats", "1",
-             "--out", str(out)]
+             "--out", str(baseline)]
         ) == 0
-        doc = json.loads(out.read_text())
-        for r in doc["results"]:
-            r["ops_per_s"] *= 2.0  # baseline pretends to be 2x faster
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "time", fake_clock(2.0))  # exactly 2x slower
         code = main(
             ["bench", "--quick", "--only", "micro/hazard*", "--repeats", "1",
-             "--compare", str(doctored)]
+             "--compare", str(baseline)]
         )
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out

@@ -19,6 +19,7 @@ from repro.obs import (
     stall_episodes,
     trace_event_document,
 )
+from repro.obs.probe import EVENT_KINDS
 from repro.schedulers import make_scheduler
 from repro.trace.events import Trace
 
@@ -176,6 +177,14 @@ class TestPerfettoExport:
         assert "counter" in cats and "scheduler" in cats
         stalls = [e for e in doc["traceEvents"] if e["name"] == "window stall"]
         assert stalls and all(e["dur"] >= 0 for e in stalls)
+        # One event loop: no partitioned-engine kinds or lanes exist.
+        assert "cell_advance" not in EVENT_KINDS
+        processes = {
+            e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert "cells" not in processes
 
     def test_round_trip_through_own_loader(self, tmp_path):
         from repro.obs import write_trace_event

@@ -90,6 +90,39 @@ class TestSpecs:
             stall_timeout=5.0, on_stall="recover",
         ).cache_key()
 
+    # Keys computed before the engine_mode field was retired: stored
+    # spec.json files, request logs and caches must keep resolving.
+    PINNED_KEYS = (
+        (
+            RunSpec(
+                ProgramSpec("cholesky", 6, 200), SchedulerSpec("quark", 8),
+                machine="magny_cours_48", seed=3, mode="simulated", cal_nt=4,
+            ),
+            "392691c7e484d4e679ea5dba6f12b61a400493ee60184db8b0a02b9fbd165817",
+        ),
+        (
+            RunSpec(
+                ProgramSpec("qr", 4, 200), SchedulerSpec("starpu", 8, policy="dmda"),
+                machine="magny_cours_48", seed=5, mode="real",
+            ),
+            "ec7e7372eaab66d77c451dfb130d97d31826038540039599bf19ca840908a8c8",
+        ),
+    )
+
+    @pytest.mark.parametrize("spec, key", PINNED_KEYS, ids=["cholesky-sim", "qr-dmda-real"])
+    def test_cache_key_backward_compatible(self, spec, key):
+        assert spec.cache_key() == key
+        legacy = {**spec.to_dict(), "engine_mode": "serialized"}
+        assert RunSpec.from_dict(legacy) == spec
+        assert RunSpec.from_dict(legacy).cache_key() == key
+
+    @pytest.mark.parametrize("mode", ["multicell", "auto", "turbo"])
+    def test_from_dict_rejects_removed_engine_modes(self, mode):
+        doc = {**_spec().to_dict(), "engine_mode": mode}
+        with pytest.raises(ValueError, match="partitioned engine modes were removed"):
+            RunSpec.from_dict(doc)
+        assert doc["engine_mode"] == mode  # the caller's document is not mutated
+
     def test_engine_key_ignores_guard(self):
         # The race guard only exists on the threaded runtime.
         assert _spec().cache_key() == _spec(guard="none").cache_key()
