@@ -246,7 +246,9 @@ class Program:
 
     The insertion order is semantically significant: hazard analysis of the
     serial order defines the DAG.  ``Program`` is append-only; iterating it
-    yields tasks in submission order.
+    yields tasks in submission order.  :meth:`seal` ends the appending: a
+    sealed program is shared between callers (see
+    :meth:`repro.runner.spec.ProgramSpec.build`), so :meth:`add` raises.
     """
 
     def __init__(
@@ -259,9 +261,17 @@ class Program:
         self.registry = registry if registry is not None else DataRegistry()
         self.meta: Dict[str, Any] = dict(meta or {})
         self._tasks: List[TaskSpec] = []
+        self.sealed = False
+
+    def seal(self) -> "Program":
+        """Forbid further :meth:`add` calls; returns ``self``."""
+        self.sealed = True
+        return self
 
     def add(self, task: TaskSpec) -> TaskSpec:
         """Append ``task`` to the stream, assigning its serial ``task_id``."""
+        if self.sealed:
+            raise RuntimeError(f"program {self.name!r} is sealed; it takes no more tasks")
         if task.task_id != -1:
             raise ValueError(f"task already belongs to a program: {task!r}")
         task.task_id = len(self._tasks)
