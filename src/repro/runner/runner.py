@@ -37,7 +37,7 @@ from ..machine import MachineBackend, collect_samples, get_machine
 from ..trace.events import Trace
 from ..trace.textio import dumps_trace, loads_trace
 from .cache import CachedRun, ResultCache
-from .spec import RunSpec
+from .spec import ProgramSpec, RunSpec
 
 __all__ = ["RunResult", "SweepResult", "execute_spec", "run_cached", "run_observed", "sweep"]
 
@@ -124,9 +124,10 @@ class RunResult:
 
     ``cached`` says whether the result came out of the cache.  ``wall_s`` is
     the time this invocation spent obtaining the result (near zero on a
-    hit).  The trace itself stays out-of-line: ``trace_path`` points into
-    the cache, or ``trace_text`` carries the serialised trace for cacheless
-    runs — :meth:`load_trace` resolves either.
+    hit).  ``trace_text`` carries the serialised trace: on a hit, the bytes
+    the cache verified against the entry's digest, so what is served is
+    what was checked.  ``trace_path`` points at the cache entry, if any;
+    :meth:`load_trace` reads it only when no text is carried.
     """
 
     spec: RunSpec
@@ -172,6 +173,7 @@ def run_cached(
                 metrics=hit.load_metrics(),
                 wall_s=time.perf_counter() - t0,
                 trace_path=str(hit.trace_path),
+                trace_text=hit.trace_text,
             )
     trace, metrics = execute_spec(spec, cache, probe=probe)
     if cache is not None:
@@ -183,6 +185,7 @@ def run_cached(
             metrics=metrics,
             wall_s=time.perf_counter() - t0,
             trace_path=str(entry.trace_path),
+            trace_text=entry.trace_text,
         )
     return RunResult(
         spec=spec,
@@ -353,6 +356,12 @@ def sweep(
         else:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+            if ctx.get_start_method() == "fork":
+                # Forked workers inherit this process's program and digest
+                # memos: build and hash each program once here, not once
+                # per worker.
+                for program in _programs_of(specs):
+                    program.content_digest()
             payloads = [(spec, cache_dir, probe_dir) for spec in specs]
             with ctx.Pool(processes=n_jobs) as pool:
                 results = []
@@ -380,6 +389,17 @@ def sweep(
         jobs=n_jobs if specs else jobs,
         cache_dir=cache_dir,
     )
+
+
+def _programs_of(specs: Sequence[RunSpec]) -> List[ProgramSpec]:
+    """The distinct programs the specs run, calibration programs included,
+    in first-use order."""
+    programs: Dict[ProgramSpec, None] = {}
+    for spec in specs:
+        if spec.mode == "simulated" and spec.calibration is None:
+            programs.setdefault(spec.calibration_spec().program)
+        programs.setdefault(spec.program)
+    return list(programs)
 
 
 def _describe(spec: RunSpec) -> str:
