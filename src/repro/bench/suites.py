@@ -132,19 +132,15 @@ def _make_dispatch_loop(n_tasks: int, n_workers: int, engine_backend: str = "obj
         def fn() -> Optional[int]:
             from ..core.metrics import RunMetrics
             from ..core.simbackend import SimulationBackend
-            from ..schedulers.array_engine import ArrayEngine
-            from ..schedulers.engine import Engine
 
             metrics = RunMetrics()
-            engine_cls = ArrayEngine if engine_backend == "array" else Engine
-            engine = engine_cls(
-                make_scheduler("quark", n_workers),
+            make_scheduler("quark", n_workers).run(
                 program,
                 SimulationBackend(models),
                 seed=0,
                 metrics=metrics,
+                engine_backend=engine_backend,
             )
-            engine.run()
             return metrics.events_processed
 
         return fn, 2 * n_tasks
@@ -244,8 +240,9 @@ def default_suite(
 
     ``engine_backend`` (``repro bench --engine-backend``) applies to the
     plain ``micro/dispatch-loop`` entry only — ``micro/dispatch-loop-array``
-    pins the array core so the two engines can be compared inside a single
-    report regardless of the flag.
+    pins ``engine_backend="array"`` so the two engines can be compared
+    inside a single report regardless of the flag (without a built core it
+    measures the recorded object-engine fallback).
     """
     micro_scale = 1 if quick else 4
     macro_repeats = 3 if quick else 5

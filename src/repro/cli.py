@@ -133,7 +133,8 @@ def _add_engine_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine-backend", choices=ENGINE_BACKENDS, default=None,
                    dest="engine_backend",
                    help="engine implementation: object (per-task-node event "
-                   "loop) or array (SoA core, byte-identical traces); "
+                   "loop) or array (compiled SoA core, byte-identical traces; "
+                   "runs on the object engine where the core cannot); "
                    "default $REPRO_ENGINE_BACKEND or object")
 
 

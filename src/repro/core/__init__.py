@@ -1,7 +1,7 @@
 """Simulator core: task model, clock, TEQ, backends, and the high-level API."""
 
 from .clock import SimClock
-from .soa import ENGINE_BACKENDS, CalendarQueue, SoAProgram, default_engine_backend
+from .soa import ENGINE_BACKENDS, SoAProgram, default_engine_backend
 from .faults import FaultPlan, FaultState
 from .metrics import METRICS_SCHEMA, RunMetrics
 from .simbackend import HeterogeneousSimulationBackend, SimulationBackend
@@ -17,7 +17,6 @@ from .watchdog import (
 
 __all__ = [
     "ENGINE_BACKENDS",
-    "CalendarQueue",
     "SoAProgram",
     "default_engine_backend",
     "SimClock",

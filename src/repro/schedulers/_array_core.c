@@ -1,19 +1,22 @@
-/* Compiled core of the array-native engine (optional acceleration).
+/* Compiled core of the array-native engine: its only event loop.
  *
- * This is a line-for-line transliteration of the pure-Python event loop in
- * repro/schedulers/array_engine.py, specialised to the no-probe simulation
- * fast path: durations come from a pre-drawn standard-normal stream plus
- * per-kernel closed-form transforms, so the whole run executes without a
- * single Python-level operation.  Every floating-point expression keeps the
- * exact operation order of the Python code (build with -ffp-contract=off so
- * no FMA contraction changes rounding) and the event set pops in the same
- * (time, push-sequence) order, which keeps traces byte-identical to both
- * the pure-Python array engine and the object engine.
+ * Replays the serialized event loop of the object engine
+ * (repro/schedulers/engine.py, the oracle) over flat arrays: durations come
+ * from a pre-drawn standard-normal stream plus per-kernel closed-form
+ * transforms, so the whole run executes without a single Python-level
+ * operation.  Every floating-point expression keeps the exact operation
+ * order of the object engine and the Python samplers (build with
+ * -ffp-contract=off so no FMA contraction changes rounding) and the event
+ * set pops in the same (time, push-sequence) order as its heap, which keeps
+ * traces byte-identical to the object engine.  Configurations this core
+ * cannot replay (probes, per-call duration backends, work-stealing/dmda
+ * policies) run on the object engine; see array_backend_unsupported in
+ * repro/schedulers/array_engine.py.
  *
  * Deliberately free of Python.h: the library is built with a plain C
  * compiler (tools/build_array_core.py) and loaded through ctypes, so no
- * Cython/mypyc toolchain is required and the pure-Python loop remains the
- * always-available fallback.
+ * Cython/mypyc toolchain is required; without a compiler, array requests
+ * run on the object engine.
  *
  * Queue kinds: 0 = FIFO (StarPU eager, OmpSs fifo), 1 = priority heap with
  * FIFO tie-break (QUARK priority, StarPU prio, OmpSs priority),
@@ -29,7 +32,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Task states — must match repro.core.soa. */
+/* Task states, in the object engine's TaskState lifecycle order; private
+ * to this file.  ST_NOT_INSERTED must stay 0 so a zeroed state array means
+ * "nothing inserted yet". */
 #define ST_NOT_INSERTED 0
 #define ST_WAITING 1
 #define ST_READY 2
@@ -38,11 +43,11 @@
 
 #define DURATION_FLOOR 1e-9
 
-/* ---- event set: single-bucket calendar (sorted array, FIFO ties) ------- */
+/* ---- event set: one sorted array (FIFO ties) --------------------------- */
 /* The pending-event population is bounded by one INSERT plus one FINISH
- * per running task (<= n_workers + 1), which is exactly the regime where
- * the CalendarQueue collapses to its single-bucket configuration: one
- * time-sorted array.  Kept sorted descending so the pop is O(1). */
+ * per running task (<= n_workers + 1), small enough that one time-sorted
+ * array beats any heap or calendar.  Kept sorted descending so the pop is
+ * O(1). */
 
 typedef struct {
     double t;

@@ -1,11 +1,12 @@
-"""ctypes loader for the optional compiled array-engine core.
+"""ctypes loader for the compiled array-engine core.
 
 ``_array_core.c`` compiles to a plain shared library (no Python.h, no
 Cython) sitting next to this module as ``lib_array_core.so`` — named so the
 import system never mistakes it for an extension module; build it with
-``python tools/build_array_core.py``.  When the library is absent or fails
-to load, :data:`RUN_SERIALIZED` is ``None`` and the array engine falls back
-to its pure-Python event loop — same results, lower throughput.
+``python tools/build_array_core.py``.  It is the array engine's only event
+loop: when the library is absent or fails to load, :data:`RUN_SERIALIZED`
+is ``None`` and ``engine_backend="array"`` requests run on the object
+engine instead — same results, lower throughput.
 
 The exported entry point runs the entire serialized simulation over flat
 numpy buffers and fills per-event output columns plus a counter block; see

@@ -191,13 +191,14 @@ class SchedulerBase:
         ``probe``, when given and enabled, receives the scheduler-internal
         event stream (see :mod:`repro.obs.probe`); probes observe only and
         never change the trace.  ``engine_backend`` selects the engine
-        *implementation* — ``"object"`` (per-task-node event loop) or
-        ``"array"`` (the SoA core of
+        *implementation* — ``"object"`` (per-task-node event loop, the
+        oracle) or ``"array"`` (the compiled SoA core of
         :mod:`repro.schedulers.array_engine`); ``None`` defers to
         :func:`repro.core.soa.default_engine_backend` (the
         ``REPRO_ENGINE_BACKEND`` environment variable).  A configuration
-        the array core cannot replicate byte-for-byte falls back to the
-        object engine, recording the reason under
+        the compiled core cannot replay — see
+        :func:`~repro.schedulers.array_engine.array_backend_unsupported` —
+        runs on the object engine, recording the reason under
         ``metrics.extra["engine_backend"]``.  Both backends produce the
         same trace.
         """
@@ -213,7 +214,7 @@ class SchedulerBase:
         if engine_backend == "array":
             from .array_engine import ArrayEngine, array_backend_unsupported
 
-            reason = array_backend_unsupported(self)
+            reason = array_backend_unsupported(self, backend, probe)
             if reason is None:
                 engine = ArrayEngine(
                     self,
@@ -222,7 +223,6 @@ class SchedulerBase:
                     seed=seed,
                     trace_meta=trace_meta,
                     metrics=metrics,
-                    probe=probe,
                 )
                 if metrics is not None:
                     metrics.extra["engine_backend"] = {"requested": "array", "used": "array"}

@@ -1,21 +1,20 @@
-"""Tests for the array-native (SoA + calendar queue) simulation core.
+"""Tests for the array-native (SoA + compiled core) simulation engine.
 
 The headline guarantee: ``engine_backend="array"`` produces the *same
 bytes* as the object engine.  The golden digests in
 ``tests/data/preopt_trace_digests.json`` must hold through the compiled C
-event loop, the pure-Python array loop (compiled core forced off), and the
-per-call adapter path real-mode runs take — with and without a probe
-attached.  On top of that, a Hypothesis differential drives random hazard
-DAGs through both backends, and the selection/fallback plumbing
+event loop and through every fallback to the object engine — no core
+built, a probe attached, real-mode and calibrated duration backends,
+StarPU ``dmda``.  On top of that, a Hypothesis differential drives random
+hazard DAGs through both backends, and the selection/fallback plumbing
 (``REPRO_ENGINE_BACKEND``, ``RunSpec.engine_backend``, cache-key
-compatibility) is pinned down.
+compatibility, the recorded fallback reason) is pinned down.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,15 +26,14 @@ from repro.core.simbackend import SimulationBackend
 from repro.core.simulator import run_real, simulate
 from repro.core.soa import ENGINE_BACKENDS, SoAProgram, default_engine_backend
 from repro.core.task import Program
-from repro.obs import RecordingProbe
+from repro.kernels.distributions import LognormalMixtureModel
+from repro.kernels.timing import KernelModelSet
+from repro.machine import MachineBackend
+from repro.obs import NullProbe, RecordingProbe
 from repro.runner import ProgramSpec, RunSpec, SchedulerSpec
 from repro.schedulers import array_engine as array_engine_module
-from repro.schedulers import make_scheduler
-from repro.schedulers.array_engine import (
-    ArrayEngine,
-    USING_COMPILED_CORE,
-    array_backend_unsupported,
-)
+from repro.schedulers import QuarkScheduler, make_scheduler
+from repro.schedulers.array_engine import array_backend_unsupported
 from repro.trace.events import ColumnTrace
 from repro.trace.textio import dumps_trace
 
@@ -48,20 +46,39 @@ def _digest(trace) -> str:
     return hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
 
 
+requires_core = pytest.mark.skipif(
+    array_engine_module._c_run is None, reason="compiled array core not built"
+)
+
+
 @pytest.fixture(params=["compiled", "pure-python"])
 def core_variant(request, monkeypatch):
-    """Run a test under the C event loop and the pure-Python array loop.
+    """Run a test with the compiled core and in a pure-Python process.
 
-    Forcing ``_c_run = None`` routes every ``ArrayEngine.run()`` through the
-    interpreted loop; the ``compiled`` variant skips (not fails) where no C
-    core was built so the suite stays green on compiler-less machines.
+    The ``compiled`` variant skips (not fails) where no C core was built so
+    the suite stays green on compiler-less machines.  ``pure-python`` hides
+    the core (``_c_run = None``): array requests then take the recorded
+    object-engine fallback and must still produce the same bytes.
     """
     if request.param == "compiled":
-        if not USING_COMPILED_CORE:
+        if array_engine_module._c_run is None:
             pytest.skip("compiled array core not built")
     else:
         monkeypatch.setattr(array_engine_module, "_c_run", None)
     return request.param
+
+
+def _mixture_models(program) -> KernelModelSet:
+    """A calibrated-family model set with no closed-form transforms."""
+    return KernelModelSet(
+        models={
+            spec.kernel: LognormalMixtureModel(
+                weights=(0.5, 0.5), mus_log=(-7.0, -6.5), sigmas_log=(0.05, 0.1)
+            )
+            for spec in program
+        },
+        family="calibrated",
+    )
 
 
 # -- golden byte-identity ---------------------------------------------------
@@ -86,8 +103,8 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_real_mode_matches_golden(self, scheduler):
-        # MachineBackend has no sweep transforms, so real mode exercises the
-        # per-call adapter path of the pure-Python array loop.
+        # MachineBackend has no sweep transforms, so real-mode array
+        # requests exercise the object-engine fallback.
         for algorithm, gen in (("cholesky", cholesky_program), ("qr", qr_program)):
             program = gen(8, 200)
             trace = run_real(
@@ -229,35 +246,73 @@ class TestBackendSelection:
                 program, SimulationBackend(models), engine_backend="vectorized"
             )
 
-    def test_unsupported_reasons(self):
-        assert array_backend_unsupported(make_scheduler("quark", 4)) is None
-        assert array_backend_unsupported(make_scheduler("ompss", 4)) is None
-        assert array_backend_unsupported(make_scheduler("starpu", 4)) is None
+    def test_unsupported_reasons(self, monkeypatch):
+        program = cholesky_program(4, 100)
+        sim = SimulationBackend(synthetic_models(program))
+        quark = make_scheduler("quark", 4)
+        if array_engine_module._c_run is not None:
+            for name in SCHEDULERS:
+                assert array_backend_unsupported(make_scheduler(name, 4), sim) is None
+            # A disabled probe costs nothing, so it keeps the core path.
+            assert array_backend_unsupported(quark, sim, NullProbe()) is None
         assert "dmda" in array_backend_unsupported(
-            make_scheduler("starpu", 4, policy="dmda")
+            make_scheduler("starpu", 4, policy="dmda"), sim
         )
 
-    def test_fallback_records_reason_and_preserves_trace(self):
+        class CustomQuark(QuarkScheduler):
+            pass
+
+        assert "CustomQuark" in array_backend_unsupported(CustomQuark(4), sim)
+        assert "MachineBackend" in array_backend_unsupported(
+            quark, MachineBackend("magny_cours_48")
+        )
+        assert "'calibrated'" in array_backend_unsupported(
+            quark, SimulationBackend(_mixture_models(program))
+        )
+        assert "probe" in array_backend_unsupported(quark, sim, RecordingProbe())
+        monkeypatch.setattr(array_engine_module, "_c_run", None)
+        assert "not built" in array_backend_unsupported(quark, sim)
+
+    # Each cause the core cannot replay -> text its recorded reason names.
+    FALLBACK_CAUSES = {
+        "core-absent": "not built",
+        "probe": "probe",
+        "real-mode": "MachineBackend",
+        "calibrated": "'calibrated'",
+        "starpu-dmda": "'dmda'",
+    }
+
+    @pytest.mark.parametrize("cause", FALLBACK_CAUSES)
+    def test_fallback_records_reason_and_preserves_trace(self, cause, monkeypatch):
+        if cause == "core-absent":
+            monkeypatch.setattr(array_engine_module, "_c_run", None)
         program = cholesky_program(6, 200)
-        models = synthetic_models(program)
-        traces, metrics = {}, RunMetrics()
-        traces["object"] = simulate(
-            program, make_scheduler("starpu", 16, policy="dmda"), models, seed=3
-        )
-        traces["array"] = simulate(
-            program,
-            make_scheduler("starpu", 16, policy="dmda"),
-            models,
-            seed=3,
-            engine_backend="array",
-            metrics=metrics,
-        )
-        assert dumps_trace(traces["object"]) == dumps_trace(traces["array"])
+
+        def run(engine_backend, metrics=None):
+            if cause == "starpu-dmda":
+                sched = make_scheduler("starpu", 16, policy="dmda")
+            else:
+                sched = make_scheduler("quark", 16)
+            kwargs = {"seed": 3, "engine_backend": engine_backend, "metrics": metrics}
+            if cause == "real-mode":
+                return run_real(program, sched, "magny_cours_48", **kwargs)
+            models = (
+                _mixture_models(program)
+                if cause == "calibrated"
+                else synthetic_models(program)
+            )
+            probe = RecordingProbe() if cause == "probe" else None
+            return simulate(program, sched, models, probe=probe, **kwargs)
+
+        metrics = RunMetrics()
+        expected = dumps_trace(run("object"))
+        assert dumps_trace(run("array", metrics)) == expected
         record = metrics.extra["engine_backend"]
         assert record["requested"] == "array"
         assert record["used"] == "object"
-        assert "dmda" in record["fallback_reason"]
+        assert self.FALLBACK_CAUSES[cause] in record["fallback_reason"]
 
+    @requires_core
     def test_array_run_records_backend_used(self):
         program = cholesky_program(4, 100)
         models = synthetic_models(program)
@@ -325,11 +380,6 @@ class TestSoAProgram:
         program = cholesky_program(4, 100)
         first = SoAProgram.for_program(program)
         assert SoAProgram.for_program(program) is first
-        # keep_preds=True needs the dependence tuples; a cached build
-        # without them cannot satisfy it.
-        with_preds = SoAProgram.for_program(program, keep_preds=True)
-        assert with_preds.preds_tuples is not None
-        assert SoAProgram.for_program(program) is with_preds
 
     def test_cache_invalidated_by_append(self):
         program = Program("grow")
@@ -346,7 +396,9 @@ class TestSoAProgram:
         ref = program.registry.alloc("T", 64, key=("T", 0))
         program.add_task("DGEMM", [ref.write()], flops=1.0).width = 8
         models = synthetic_models(program)
-        with pytest.raises(ValueError, match="width"):
+        # Worded differently by the core and the object engine, which an
+        # array request without the core falls back to.
+        with pytest.raises(ValueError, match="requires 8 workers"):
             simulate(
                 program,
                 make_scheduler("quark", 4),
@@ -356,6 +408,7 @@ class TestSoAProgram:
             )
 
 
+@requires_core
 class TestColumnTrace:
     def _array_trace(self):
         program = cholesky_program(4, 100)
@@ -393,8 +446,9 @@ class TestCalibratedModels:
 
     Mixture/KDE models sample via one inverse-CDF draw per task
     (``rng_use == "other"``), which keeps the calibrated model set
-    non-batchable — both engines fall back to the per-call DirectSampler,
-    so byte identity has to hold with no engine-side special cases.
+    non-batchable and without closed-form transforms — array requests run
+    on the object engine and its per-call DirectSampler, so byte identity
+    has to hold with no engine-side special cases.
     """
 
     @pytest.fixture(scope="class")

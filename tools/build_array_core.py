@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build the optional compiled core of the array engine.
+"""Build the compiled core of the array engine.
 
 Compiles ``src/repro/schedulers/_array_core.c`` into ``lib_array_core.so``
 next to its ctypes loader, using whatever plain C compiler is on PATH
@@ -8,12 +8,12 @@ Cython involved — the library is a freestanding C object loaded via ctypes.
 
 ``-ffp-contract=off`` is load-bearing: it forbids fused multiply-add
 contraction so the compiled duration transforms round exactly like the
-pure-Python expressions, keeping traces byte-identical across the
-compiled, pure-Python-array and object engines.
+Python samplers, keeping traces byte-identical between the compiled core
+and the object engine.
 
 Exit status 0 on success (or with ``--if-possible`` when no compiler
-exists, since the engine falls back to pure Python); non-zero on a failed
-compile.
+exists, since array requests then run on the object engine); non-zero on a
+failed compile.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def main(argv: list[str]) -> int:
     if cc is None:
         print(
             "build_array_core: no C compiler found; "
-            "the array engine will use its pure-Python loop",
+            "array requests run on the object engine",
             file=sys.stderr,
         )
         return 0 if lenient else 1
